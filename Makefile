@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-ignores lint-graph bench bench-json bench-allocs bench-gate bench-baseline vet fmt clean crash scenarios
+.PHONY: all build test race lint lint-ignores lint-graph bench bench-json bench-allocs bench-gate bench-baseline vet fmt clean crash scenarios fuzz perfbench-test
 
 all: build vet lint test
 
@@ -29,6 +29,19 @@ scenarios:
 	$(GO) test -race -count=1 ./internal/scenario/
 	$(GO) run ./cmd/codascn validate internal/scenario/testdata/scenarios
 	$(GO) run ./cmd/codascn matrix -run internal/scenario/testdata/scenarios/crash_matrix.scn
+
+# Fuzz gate: each fuzzer for a fixed budget on top of its committed
+# seed corpus (go test runs one -fuzz target per invocation).
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzDeliverData$$' -fuzztime $(FUZZTIME) ./internal/sftp/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/cml/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
+
+# perfbench is its own module (replace repro => ../), so `go test ./...`
+# at the root does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test -count=1 ./...
 
 # Same wall-clock budget as CI so a local `make lint` catches an
 # analysis-time regression before the workflow does.

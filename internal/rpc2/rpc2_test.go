@@ -2,6 +2,7 @@ package rpc2
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -374,6 +375,42 @@ func TestReplyCacheFlushedOnClientRestart(t *testing.T) {
 		rep, err = c2.Call("server", []byte("again"), CallOpts{})
 		if err != nil || string(rep) != "exec 3: again" {
 			t.Errorf("follow-up call: %q, %v", rep, err)
+		}
+	})
+}
+
+// TestBogusSFTPFragmentKeepsNodeServing: one 44-byte SFTP DATA fragment
+// claiming a 2^62-byte transfer once panicked the receiving node. The
+// engine now rejects it, and the node goes on serving calls whose
+// bodies ride SFTP.
+func TestBogusSFTPFragmentKeepsNodeServing(t *testing.T) {
+	w := newWorld(12, netsim.Ethernet.Params())
+	w.sim.Run(func() {
+		w.node("server", echoHandler)
+		c := w.node("client", nil)
+
+		frag := []byte{kindSFTP, 0x01}                    // rpc2 kind, sftp DATA tag
+		frag = binary.BigEndian.AppendUint64(frag, 7)     // transfer id
+		frag = binary.BigEndian.AppendUint32(frag, 0)     // seq
+		frag = binary.BigEndian.AppendUint32(frag, 1)     // total
+		frag = binary.BigEndian.AppendUint64(frag, 1<<62) // totalBytes
+		frag = binary.BigEndian.AppendUint16(frag, 1)     // data length
+		frag = append(frag, make([]byte, 16)...)          // untraced span context
+		frag = append(frag, 0xAA)
+		if len(frag) != 1+44 {
+			t.Fatalf("fragment is %d bytes, want rpc2 kind + 44", len(frag))
+		}
+		if err := w.net.Host("attacker").Send("server", frag); err != nil {
+			t.Fatal(err)
+		}
+
+		body := bytes.Repeat([]byte("y"), 20<<10)
+		rep, err := c.Call("server", body, CallOpts{Timeout: time.Minute})
+		if err != nil {
+			t.Fatalf("call after bogus fragment: %v", err)
+		}
+		if !bytes.Equal(rep, body) {
+			t.Errorf("echo corrupted: %d bytes back, want %d", len(rep), len(body))
 		}
 	})
 }

@@ -78,6 +78,12 @@ var shipCallOpts = rpc2.CallOpts{MaxRetries: 4}
 // fetchLogBatch caps entries per FetchLog reply; the puller loops.
 const fetchLogBatch = 128
 
+// fetchLogBytes caps the record bytes of a FetchLog reply after its
+// first entry, so a reply body stays within sftp.MaxTransferBytes: one
+// entry is at most one WAL record (64 MiB), and a batch of them stops
+// growing at half that.
+const fetchLogBytes = 32 << 20
+
 // Peers returns the configured replica peer addresses.
 func (s *Server) Peers() []string { return append([]string(nil), s.peers...) }
 
@@ -310,9 +316,14 @@ func (s *Server) fetchLog(req wire.FetchLog) (wire.FetchLogRep, error) {
 		return wire.FetchLogRep{}, err
 	}
 	start := req.AfterLSN - v.replBaseLSN
-	end := start + fetchLogBatch
-	if n := uint64(len(v.repl)); end > n {
-		end = n
+	end, limit := start, min(start+fetchLogBatch, uint64(len(v.repl)))
+	for size := int64(0); end < limit; end++ {
+		for i := range v.repl[end].Recs {
+			size += v.repl[end].Recs[i].Size()
+		}
+		if end > start && size > fetchLogBytes {
+			break
+		}
 	}
 	rep.Entries = append([]wire.LogEntry(nil), v.repl[start:end]...)
 	return rep, nil

@@ -394,3 +394,31 @@ func TestRestartedMemberCatchesUpViaFetchLog(t *testing.T) {
 		w.requireConverged(t)
 	})
 }
+
+// TestFetchLogBoundsReplyBytes: a FetchLog reply stops adding entries
+// once their record bytes pass fetchLogBytes, so its body stays within
+// what an SFTP receiver accepts; the first entry always ships.
+func TestFetchLogBoundsReplyBytes(t *testing.T) {
+	w := newReplWorld(1)
+	info := w.createVolume(t, "v")
+	srv := w.srvs[0]
+	v, _ := srv.volByID(info.ID)
+	big := make([]byte, fetchLogBytes/2)
+	v.mu.Lock()
+	for i := 0; i < 5; i++ {
+		v.walLSN++
+		v.advanceReplLocked("c", v.walLSN, []cml.Record{{Kind: cml.Store, Data: big}}, []byte{byte(i)})
+	}
+	v.mu.Unlock()
+	rep, err := srv.fetchLog(wire.FetchLog{Volume: info.ID, Chain: v.replBaseChain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Entries) != 1 {
+		t.Errorf("reply carries %d half-cap entries, want 1 (the next would pass fetchLogBytes)", len(rep.Entries))
+	}
+	rep, err = srv.fetchLog(wire.FetchLog{Volume: info.ID, AfterLSN: 4, Chain: v.repl[3].Chain})
+	if err != nil || len(rep.Entries) != 1 || rep.Entries[0].LSN != 5 {
+		t.Errorf("tail fetch = %d entries, %v; want entry 5", len(rep.Entries), err)
+	}
+}

@@ -10,6 +10,23 @@
 // unification the paper describes (SFTP traffic suppresses RPC2 and Venus
 // keepalives).
 //
+// The receiver reassembles each transfer in one buffer that grows, by
+// doubling, only as in-window bytes arrive; every fragment is copied
+// straight to its offset, and the completed buffer is handed to Await
+// without a further copy. Its window state is a cumulative count plus a
+// 64-bit mask of the fragments just ahead of it, which is exactly the
+// (cum, bitmap) pair each ack carries, so one fragment costs O(1) work.
+// An honest sender never has a fragment outstanding at or beyond
+// cum+WindowPackets, so such fragments are dropped.
+//
+// Fragments are validated before any state is touched. A header must be
+// self-consistent (total = max(1, ceil(totalBytes/DataPacketSize)),
+// totalBytes ≤ MaxTransferBytes, seq < total), agree with the first
+// header of its transfer, and carry exactly its slot's length. Each
+// rejection counts in sftp_rejected_fragments_total{reason}. Partial
+// transfers idle for longer than incomingTTL are swept lazily as new
+// ones open, so bogus first fragments cannot pile up forever.
+//
 // The Engine does not own a socket: its owner (rpc2.Node) passes a send
 // function and routes incoming SFTP packets to Deliver. Both directions of
 // both protocols therefore share one datagram endpoint, as in Coda.
@@ -36,6 +53,16 @@ const (
 	WindowPackets = 64
 	// maxConsecutiveTimeouts aborts a transfer wedged on a dead link.
 	maxConsecutiveTimeouts = 10
+	// MaxTransferBytes caps the length a transfer may claim. No path
+	// produces a larger body: the largest file is 64 MiB (the scenario
+	// DSL's `zeros` cap, also the WAL's per-record cap), and its wire and
+	// rpc2 framing is far below the 1 MiB of headroom.
+	MaxTransferBytes = 64<<20 + 1<<20
+	// incomingTTL is how long a partial incoming transfer survives
+	// without a fragment: the server's fragment-buffer TTL scale, far
+	// beyond any sender's retry budget (maxConsecutiveTimeouts backoffs
+	// capped at netmon.MaxRTO).
+	incomingTTL = 6 * time.Hour
 )
 
 // Packet type tags (first byte of an SFTP payload).
@@ -46,6 +73,10 @@ const (
 
 // ErrTransferFailed reports a transfer abandoned after repeated timeouts.
 var ErrTransferFailed = errors.New("sftp: transfer failed (peer unreachable)")
+
+// ErrTooLarge reports a Send whose data exceeds MaxTransferBytes; a
+// receiver would reject every fragment of it.
+var ErrTooLarge = errors.New("sftp: transfer exceeds MaxTransferBytes")
 
 // ErrAwaitTimeout reports that an expected incoming transfer never
 // completed within the deadline.
@@ -73,6 +104,7 @@ type Engine struct {
 	done      map[key]*simtime.Queue[[]byte]
 	completed map[key]uint32 // packet counts of finished transfers, for re-acking
 	order     []key          // FIFO bound on completed
+	nextSweep time.Time      // earliest time the next idle sweep of incoming runs
 
 	met engineMetrics
 }
@@ -95,10 +127,16 @@ type ackInfo struct {
 	bitmap uint64
 }
 
+// inTransfer is one partial incoming transfer. Fragments [0, cum) have
+// arrived; bit b of ahead says fragment cum+b has, so bit 0 is always
+// clear between deliveries and ahead is the ack bitmap as it stands.
 type inTransfer struct {
 	total      uint32
 	totalBytes uint64
-	got        map[uint32][]byte
+	buf        []byte // fragment seq at buf[seq*DataPacketSize:]; len = end of the furthest one
+	cum        uint32
+	ahead      uint64
+	lastActive time.Time       // last accepted fragment, for the idle sweep
 	sp         *obs.SpanHandle // sftp_receive, when the stream is traced
 }
 
@@ -139,6 +177,9 @@ func NewEngine(clock simtime.Clock, mon *netmon.Monitor, send func(dst string, p
 // every data fragment carries the span context so the receive side joins
 // the same tree.
 func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) error {
+	if len(data) > MaxTransferBytes {
+		return fmt.Errorf("%w: %d bytes to %s", ErrTooLarge, len(data), dst)
+	}
 	peer := e.mon.Peer(dst)
 	total := uint32((len(data) + DataPacketSize - 1) / DataPacketSize)
 	if total == 0 {
@@ -263,7 +304,7 @@ func (e *Engine) Send(dst string, id uint64, data []byte, sc obs.SpanContext) er
 		timeouts = 0
 		backoff = 0
 
-		for i := uint32(0); i < ack.cum && i < total; i++ {
+		for i := base; i < ack.cum && i < total; i++ {
 			acked[i] = true
 		}
 		for b := 0; b < 64; b++ {
@@ -353,11 +394,17 @@ func (e *Engine) Deliver(src string, payload []byte) {
 func (e *Engine) deliverData(src string, payload []byte) {
 	id, seq, total, totalBytes, sc, data, ok := decodeData(payload)
 	if !ok {
+		e.reject("malformed")
 		return
 	}
 	e.met.packetsRecv.Inc()
 	e.met.bytesRecv.Add(int64(len(data)))
+	if reason := checkHeader(seq, total, totalBytes, len(data)); reason != "" {
+		e.reject(reason)
+		return
+	}
 	k := key{src, id}
+	now := e.clock.Now()
 
 	e.mu.Lock()
 	if doneTotal, finished := e.completed[k]; finished {
@@ -367,60 +414,135 @@ func (e *Engine) deliverData(src string, payload []byte) {
 		return
 	}
 	t, ok := e.incoming[k]
-	if !ok {
-		t = &inTransfer{total: total, totalBytes: totalBytes, got: make(map[uint32][]byte)}
+	switch {
+	case !ok:
+		e.sweepIdleLocked(now)
+		t = &inTransfer{total: total, totalBytes: totalBytes}
 		if sc.Valid() {
 			// The receive span opens on the first fragment and closes
 			// on assembly; its parent context rode in on the wire.
 			t.sp = e.reg.StartSpan(e.self, "sftp_receive", sc, obs.F("src", src))
 		}
 		e.incoming[k] = t
-	}
-	if _, dup := t.got[seq]; !dup && seq < t.total {
-		t.got[seq] = append([]byte(nil), data...)
-	}
-
-	cum := uint32(0)
-	for {
-		if _, have := t.got[cum]; !have {
-			break
-		}
-		cum++
-	}
-	var bitmap uint64
-	for b := uint32(0); b < 64; b++ {
-		if _, have := t.got[cum+b]; have {
-			bitmap |= 1 << b
-		}
-	}
-
-	complete := cum >= t.total
-	var assembled []byte
-	if complete {
-		assembled = make([]byte, 0, t.totalBytes)
-		for i := uint32(0); i < t.total; i++ {
-			assembled = append(assembled, t.got[i]...)
-		}
-		delete(e.incoming, k)
-		e.completed[k] = t.total
-		e.order = append(e.order, k)
-		if len(e.order) > 256 {
-			delete(e.completed, e.order[0])
-			e.order = e.order[1:]
-		}
-		q, ok := e.done[k]
-		if !ok {
-			q = simtime.NewQueue[[]byte](e.clock)
-			e.done[k] = q
-		}
+	case total != t.total || totalBytes != t.totalBytes:
 		e.mu.Unlock()
-		t.sp.End()
-		e.shipAck(src, id, cum, bitmap)
-		q.Put(assembled)
+		e.reject("mismatch")
 		return
 	}
+	if seq >= t.cum {
+		b := seq - t.cum
+		if b >= WindowPackets {
+			e.mu.Unlock()
+			e.reject("window")
+			return
+		}
+		if t.ahead&(1<<b) == 0 {
+			t.place(seq, data)
+			t.ahead |= 1 << b
+			for t.ahead&1 != 0 {
+				t.ahead >>= 1
+				t.cum++
+			}
+		}
+	}
+	t.lastActive = now
+	cum, bitmap := t.cum, t.ahead
+
+	if cum < t.total {
+		e.mu.Unlock()
+		e.shipAck(src, id, cum, bitmap)
+		return
+	}
+	assembled := t.buf
+	if assembled == nil {
+		assembled = []byte{} // a 0-byte transfer still completes with a non-nil body
+	}
+	delete(e.incoming, k)
+	e.completed[k] = t.total
+	e.order = append(e.order, k)
+	if len(e.order) > 256 {
+		delete(e.completed, e.order[0])
+		e.order = e.order[1:]
+	}
+	q, ok := e.done[k]
+	if !ok {
+		q = simtime.NewQueue[[]byte](e.clock)
+		e.done[k] = q
+	}
 	e.mu.Unlock()
+	t.sp.End()
 	e.shipAck(src, id, cum, bitmap)
+	q.Put(assembled)
+}
+
+// checkHeader validates one decoded fragment on its own and returns the
+// rejection reason, or "" if it is well formed: the packet count must be
+// the one totalBytes implies, the length within MaxTransferBytes, the
+// seq inside the transfer, and the data exactly its slot's length.
+func checkHeader(seq, total uint32, totalBytes uint64, n int) string {
+	if totalBytes > MaxTransferBytes {
+		return "too_large"
+	}
+	want := (totalBytes + DataPacketSize - 1) / DataPacketSize
+	if want == 0 {
+		want = 1
+	}
+	if uint64(total) != want {
+		return "header"
+	}
+	if seq >= total {
+		return "seq"
+	}
+	slot := uint64(DataPacketSize)
+	if seq == total-1 {
+		slot = totalBytes - uint64(seq)*DataPacketSize
+	}
+	if uint64(n) != slot {
+		return "length"
+	}
+	return ""
+}
+
+// reject counts one dropped fragment under its reason. The counter is
+// registered on first use, so registries of runs that never see a bad
+// fragment are unchanged.
+func (e *Engine) reject(reason string) {
+	e.reg.Counter("sftp_rejected_fragments_total", obs.L("reason", reason)).Inc()
+}
+
+// place copies fragment seq to its offset in t.buf. The buffer grows by
+// doubling, capped at totalBytes, and only to cover bytes in hand, so a
+// header claiming a huge transfer costs nothing until its data arrives;
+// an honest transfer ends with len = cap = totalBytes.
+func (t *inTransfer) place(seq uint32, data []byte) {
+	off := int(seq) * DataPacketSize
+	end := off + len(data)
+	switch {
+	case end > cap(t.buf):
+		c := min(2*cap(t.buf), int(t.totalBytes))
+		buf := make([]byte, end, max(c, end))
+		copy(buf, t.buf)
+		t.buf = buf
+	case end > len(t.buf):
+		t.buf = t.buf[:end]
+	}
+	copy(t.buf[off:], data)
+}
+
+// sweepIdleLocked drops partial transfers that have heard nothing for
+// incomingTTL. It runs when a transfer opens, at most once per quarter
+// TTL, so an abandoned transfer lives at most 1.25 TTLs and the scan
+// costs nothing per fragment. Caller holds e.mu.
+func (e *Engine) sweepIdleLocked(now time.Time) {
+	if now.Before(e.nextSweep) {
+		return
+	}
+	e.nextSweep = now.Add(incomingTTL / 4)
+	for k, t := range e.incoming {
+		if now.Sub(t.lastActive) > incomingTTL {
+			delete(e.incoming, k)
+		}
+	}
 }
 
 func (e *Engine) deliverAck(src string, payload []byte) {
