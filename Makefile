@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-ignores lint-graph bench bench-json bench-allocs bench-gate bench-baseline vet fmt clean crash scenarios fuzz perfbench-test
+.PHONY: all build test race lint lint-ignores lint-graph bench bench-json bench-allocs bench-gate bench-baseline vet fmt clean crash scenarios fuzz perfbench-test examples
 
 all: build vet lint test
 
@@ -30,11 +30,25 @@ scenarios:
 	$(GO) run ./cmd/codascn validate internal/scenario/testdata/scenarios
 	$(GO) run ./cmd/codascn matrix -run internal/scenario/testdata/scenarios/crash_matrix.scn
 
+# Example gate: every examples/* program end to end, each under a
+# 120 s real-time bound, so a simulation that freezes fails the target
+# instead of hanging it.
+EXAMPLES := $(notdir $(wildcard examples/*))
+examples:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) build -o "$$bin/" ./examples/... && \
+	for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		timeout 120 "$$bin/$$e" || { echo "examples/$$e: exit $$?" >&2; exit 1; }; \
+	done
+
 # Fuzz gate: each fuzzer for a fixed budget on top of its committed
 # seed corpus (go test runs one -fuzz target per invocation).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDeliverData$$' -fuzztime $(FUZZTIME) ./internal/sftp/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeAck$$' -fuzztime $(FUZZTIME) ./internal/sftp/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePacket$$' -fuzztime $(FUZZTIME) ./internal/rpc2/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/cml/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 

@@ -99,6 +99,7 @@ type Engine struct {
 	byObj map[*types.Func]*FuncNode
 	byLit map[*ast.FuncLit]*FuncNode
 	byPkg map[*Package][]*FuncNode
+	walk  *lockWalk // the held-lock walk, computed on first use
 }
 
 // NewEngine builds the call graph and runs the summary fixpoint over
@@ -560,11 +561,7 @@ func dedupeNodes(in []*FuncNode) []*FuncNode {
 // iteration converges; passes are over a deterministically sorted node
 // list so via-chains are reproducible run to run.
 func (e *Engine) fixpoint() {
-	nodes := make([]*FuncNode, len(e.nodes))
-	copy(nodes, e.nodes)
-	sort.Slice(nodes, func(i, j int) bool {
-		return nodes[i].sortKey() < nodes[j].sortKey()
-	})
+	nodes := e.sortedNodes()
 	for changed := true; changed; {
 		changed = false
 		for _, n := range nodes {
@@ -594,6 +591,17 @@ func (e *Engine) fixpoint() {
 			}
 		}
 	}
+}
+
+// sortedNodes returns every node in source order (file, offset), so
+// passes over the graph are reproducible run to run.
+func (e *Engine) sortedNodes() []*FuncNode {
+	nodes := make([]*FuncNode, len(e.nodes))
+	copy(nodes, e.nodes)
+	sort.Slice(nodes, func(i, j int) bool {
+		return nodes[i].sortKey() < nodes[j].sortKey()
+	})
+	return nodes
 }
 
 func (n *FuncNode) sortKey() string {

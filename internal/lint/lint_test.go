@@ -128,6 +128,40 @@ func TestLockholdFixture(t *testing.T) {
 	runFixture(t, "lockhold", "internal/fixture", []Analyzer{NewLockhold()})
 }
 
+// TestLockholdUnlockHelperCloses: lockhold reads holds from the same
+// walk as lockorder, so an unlock helper (a callee with a negative lock
+// balance) closes a direct hold for both — the sleep after it in f is
+// clean, the sleep before it in g is not.
+func TestLockholdUnlockHelperCloses(t *testing.T) {
+	pkg := loadSingle(t, `package fix
+
+import (
+	"sync"
+	"time"
+)
+
+type s struct{ mu sync.Mutex }
+
+func (x *s) unlock() { x.mu.Unlock() }
+
+func (x *s) f() {
+	x.mu.Lock()
+	x.unlock()
+	time.Sleep(time.Millisecond)
+}
+
+func (x *s) g() {
+	x.mu.Lock()
+	time.Sleep(time.Millisecond)
+	x.unlock()
+}
+`)
+	got := Run([]*Package{pkg}, []Analyzer{NewLockhold(), NewLockorder()})
+	if len(got) != 1 || got[0].Analyzer != "lockhold" || !strings.Contains(got[0].Message, "in (*s).g") {
+		t.Fatalf("want one lockhold finding, in g: got %v", got)
+	}
+}
+
 func TestLockorderFixture(t *testing.T) {
 	runFixture(t, "lockorder", "internal/fixture", []Analyzer{NewLockorder()})
 }

@@ -48,7 +48,7 @@ type guardedStruct struct {
 	locks   []string                   // mutex field names, declaration order
 	guardOf map[string]string          // sibling field → guarding lock ("" = unguarded)
 	mutated map[string]bool            // fields written by at least one method
-	lockers map[string]map[string]bool // method → locks it acquires directly
+	lockers map[string]map[string]bool // method → lock domains it acquires directly
 	methods []*ast.FuncDecl
 }
 
@@ -68,7 +68,7 @@ func isMutexType(t types.Type) bool {
 // isMutexField reports whether the field follows the mutex naming
 // convention the analyzer enforces.
 func isMutexField(name string, t types.Type) bool {
-	return isMutexType(t) && (name == "mu" || strings.HasSuffix(name, "Mu"))
+	return isMutexType(t) && mutexName(name)
 }
 
 // Analyze implements Analyzer.
@@ -104,13 +104,9 @@ func (l *Lockguard) Analyze(pkg *Package) []Finding {
 			for f := range touched {
 				byLock[gs.guardOf[f]] = append(byLock[gs.guardOf[f]], f)
 			}
-			locks := make([]string, 0, len(byLock))
-			for lock := range byLock {
-				locks = append(locks, lock)
-			}
-			sort.Strings(locks)
-			for _, lock := range locks {
-				if acquiresLock(fn, recv, lock, gs.lockers) {
+			for _, lock := range sortedKeys(byLock) {
+				domain := pkg.Types.Name() + "." + gs.name + "." + lock
+				if acquiresLock(fn, recv, domain, gs.lockers) {
 					continue
 				}
 				names := byLock[lock]
@@ -193,7 +189,7 @@ func (l *Lockguard) collect(pkg *Package) map[string]*guardedStruct {
 			for f := range mutatedFields(fn, recv, gs.guardOf) {
 				gs.mutated[f] = true
 			}
-			if locked := directLocks(fn, gs.locks); len(locked) > 0 {
+			if locked := lockedDomains(pkg, fn); len(locked) > 0 {
 				gs.lockers[fn.Name.Name] = locked
 			}
 		}
@@ -290,35 +286,25 @@ func touchedFields(fn *ast.FuncDecl, recv string, guarded map[string]bool) map[s
 	return out
 }
 
-// directLocks reports which of the struct's locks the method body
-// acquires via <...>.<lock>.Lock() or <...>.<lock>.RLock().
-func directLocks(fn *ast.FuncDecl, locks []string) map[string]bool {
-	names := make(map[string]bool, len(locks))
-	for _, l := range locks {
-		names[l] = true
-	}
+// lockedDomains reports the lock domains ("pkg.Struct.field") the
+// method body acquires with Lock or RLock, closures included.
+func lockedDomains(pkg *Package, fn *ast.FuncDecl) map[string]bool {
 	out := make(map[string]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-			return true
-		}
-		if inner, ok := sel.X.(*ast.SelectorExpr); ok && names[inner.Sel.Name] {
-			out[inner.Sel.Name] = true
+		if call, ok := n.(*ast.CallExpr); ok {
+			if d, delta := lockOpDomain(pkg, call); delta > 0 {
+				out[d] = true
+			}
 		}
 		return true
 	})
 	return out
 }
 
-// acquiresLock reports whether the method acquires the named lock
+// acquiresLock reports whether the method acquires the lock domain
 // directly or calls a sibling method (on its own receiver) that does.
-func acquiresLock(fn *ast.FuncDecl, recv, lock string, lockers map[string]map[string]bool) bool {
-	if directLocks(fn, []string{lock})[lock] {
+func acquiresLock(fn *ast.FuncDecl, recv, domain string, lockers map[string]map[string]bool) bool {
+	if lockers[fn.Name.Name][domain] {
 		return true
 	}
 	found := false
@@ -328,7 +314,7 @@ func acquiresLock(fn *ast.FuncDecl, recv, lock string, lockers map[string]map[st
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !lockers[sel.Sel.Name][lock] {
+		if !ok || !lockers[sel.Sel.Name][domain] {
 			return true
 		}
 		if id, ok := sel.X.(*ast.Ident); ok && id.Name == recv {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // This file is the engine's fourth-generation effect: per-function
@@ -15,8 +16,9 @@ import (
 // opening a critical section at the call site), whether it returns a
 // slice it provably sorted (the ascending-ID registry idiom), and
 // whether it can signal a waiter (channel send or close, WaitGroup
-// Done, Cond Signal/Broadcast). The lockorder analyzer is a query over
-// these summaries; lockguard's naming convention (`mu` / `*Mu` suffix,
+// Done, Cond Signal/Broadcast). The held-lock walker (lockwalk.go) is a
+// query over these summaries. lockOpDomain below is the one recognizer
+// of a lock call: lockguard's naming convention (`mu` / `*Mu` suffix,
 // sync.Mutex or sync.RWMutex — RLock and RUnlock count like Lock and
 // Unlock, since readers still deadlock against writers) defines what a
 // lock is.
@@ -123,6 +125,23 @@ func lockOpDomain(pkg *Package, call *ast.CallExpr) (domain string, delta int) {
 		return d, delta
 	}
 	return "", 0
+}
+
+// mutexNamed reports whether the expression's final component follows
+// the mutex naming convention.
+func mutexNamed(expr ast.Expr) bool {
+	switch x := expr.(type) {
+	case *ast.Ident:
+		return mutexName(x.Name)
+	case *ast.SelectorExpr:
+		return mutexName(x.Sel.Name)
+	}
+	return false
+}
+
+// mutexName is the naming convention itself: `mu`, or a `Mu` suffix.
+func mutexName(name string) bool {
+	return name == "mu" || strings.HasSuffix(name, "Mu")
 }
 
 // sortCallVar recognizes a sort call and returns the identifier being
@@ -301,21 +320,4 @@ func (n *FuncNode) propagateLocksets() bool {
 		}
 	}
 	return changed
-}
-
-// sortedKeys returns a map's keys in lexicographic order, for
-// deterministic propagation and reporting.
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
 }

@@ -685,11 +685,12 @@ func (n *Node) sendSFTP(dst string, payload []byte) error {
 }
 
 // decodePacket splits a framed packet; body aliases p, nothing is
-// copied.
+// copied. Input shorter than the header, or whose kind byte names no
+// rpc2 packet kind, is rejected with ok=false.
 //
 //codalint:hotpath rpc2 wire parsing
 func decodePacket(p []byte) (kind, flags byte, seq uint64, ts, tsEcho, inc uint32, sc obs.SpanContext, body []byte, ok bool) {
-	if len(p) < packetHeader {
+	if len(p) < packetHeader || p[0] < kindReq || p[0] > kindProbeAck {
 		return
 	}
 	sc.Trace = binary.BigEndian.Uint64(p[22:])

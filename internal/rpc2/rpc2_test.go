@@ -414,3 +414,33 @@ func TestBogusSFTPFragmentKeepsNodeServing(t *testing.T) {
 		}
 	})
 }
+
+// FuzzDecodePacket: decodePacket never panics, accepts exactly the
+// inputs that hold a full header under an rpc2 packet kind, and on
+// accept reads every field where appendPacket wrote it, with the body
+// aliasing the input.
+func FuzzDecodePacket(f *testing.F) {
+	// testdata/fuzz/FuzzDecodePacket holds a traced request, a short
+	// frame and an unknown kind.
+	f.Add(appendPacket(nil, kindRep, flagAppError, 9, 100, 99, 3, obs.SpanContext{}, []byte("reply")))
+	f.Add(make([]byte, packetHeader-1))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		kind, flags, seq, ts, tsEcho, inc, sc, body, ok := decodePacket(in)
+		want := len(in) >= packetHeader && in[0] >= kindReq && in[0] <= kindProbeAck
+		if ok != want {
+			t.Fatalf("decodePacket(%d bytes, kind %d) ok=%v, want %v", len(in), kind, ok, want)
+		}
+		if !ok {
+			if body != nil {
+				t.Fatalf("rejected input yields a %d-byte body", len(body))
+			}
+			return
+		}
+		if re := appendPacket(nil, kind, flags, seq, ts, tsEcho, inc, sc, body); !bytes.Equal(re, in) {
+			t.Fatalf("re-framed packet differs from input:\n got %x\nwant %x", re, in)
+		}
+		if len(body) > 0 && &body[0] != &in[packetHeader] {
+			t.Fatal("body is a copy, not an alias of the input")
+		}
+	})
+}

@@ -629,9 +629,12 @@ func (e *Engine) shipAck(dst string, id uint64, cum uint32, bitmap uint64) {
 	bufpool.Put(bp)
 }
 
+// decodeAck parses one ack frame. Anything but exactly ackHeader bytes
+// under the ack tag is rejected with ok=false.
+//
 //codalint:hotpath sftp ack parsing
 func decodeAck(p []byte) (id uint64, cum uint32, bitmap uint64, ok bool) {
-	if len(p) < ackHeader {
+	if len(p) != ackHeader || p[0] != tagAck {
 		return 0, 0, 0, false
 	}
 	return binary.BigEndian.Uint64(p[1:]), binary.BigEndian.Uint32(p[9:]), binary.BigEndian.Uint64(p[13:]), true

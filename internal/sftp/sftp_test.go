@@ -512,3 +512,39 @@ func FuzzDeliverData(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeAck: decodeAck never panics, accepts exactly one
+// ackHeader-byte frame under the ack tag, and on accept reads every
+// field where shipAck wrote it.
+func FuzzDecodeAck(f *testing.F) {
+	// ack frames one ack the way a receiving engine ships it.
+	ack := func(id uint64, cum uint32, bitmap uint64) []byte {
+		var raw []byte
+		s := simtime.NewSim(simtime.Epoch1995)
+		e := NewEngine(s, netmon.NewMonitor(s), func(_ string, p []byte) error {
+			raw = append([]byte(nil), p...)
+			return nil
+		}, nil, "a")
+		e.shipAck("b", id, cum, bitmap)
+		return raw
+	}
+	// testdata/fuzz/FuzzDecodeAck holds a valid ack, a short one, one
+	// with a trailing byte and a data tag.
+	f.Add(ack(5, 3, 0b1011))
+	f.Add(ack(5, 3, 0b1011)[:ackHeader-1])
+	f.Fuzz(func(t *testing.T, in []byte) {
+		id, cum, bitmap, ok := decodeAck(in)
+		if want := len(in) == ackHeader && in[0] == tagAck; ok != want {
+			t.Fatalf("decodeAck(%x) ok=%v, want %v", in, ok, want)
+		}
+		if !ok {
+			if id != 0 || cum != 0 || bitmap != 0 {
+				t.Fatalf("rejected input yields fields %d/%d/%x", id, cum, bitmap)
+			}
+			return
+		}
+		if re := ack(id, cum, bitmap); !bytes.Equal(re, in) {
+			t.Fatalf("re-framed ack differs from input:\n got %x\nwant %x", re, in)
+		}
+	})
+}

@@ -67,11 +67,11 @@ func (v *Venus) chunkSize() int64 {
 }
 
 // reintegrateChunk ships one chunk from vc's CML. It returns true if a
-// chunk was committed. Only vc.drainMu is held across the RPCs; Venus.mu
-// is taken briefly to read and to reconcile results.
+// chunk was committed. Only vc's drain token is held across the RPCs;
+// Venus.mu is taken briefly to read and to reconcile results.
 func (v *Venus) reintegrateChunk(vc *vclient, age time.Duration) bool {
-	vc.drainMu.Lock()
-	defer vc.drainMu.Unlock()
+	vc.drain.Get()
+	defer vc.drain.Put(struct{}{})
 	c := v.chunkSize()
 	records := vc.log.BeginReintegration(age, c, v.clock.Now())
 	if records == nil {
@@ -132,7 +132,6 @@ func (v *Venus) reintegrateChunk(vc *vclient, age time.Duration) bool {
 		recs[0].Data = nil
 	}
 
-	//codalint:ignore lockhold drainMu is a work lock serializing whole-drain attempts per volume by design; RPCs are issued holding only drainMu, never Venus.mu
 	rep, err := v.reintegrateCall(vc, recs, deltas, fragData, c, sp.Context())
 	if err != nil {
 		// Network or server failure: remove the barrier; every record
@@ -160,7 +159,6 @@ func (v *Venus) reintegrateChunk(vc *vclient, age time.Duration) bool {
 		vc.log.CommitReintegration()
 		// The server holds these records now: journal their removal so a
 		// crash does not resurrect (and re-ship) them.
-		//codalint:ignore lockhold drainMu is a work lock serializing whole-drain attempts per volume by design; the journal write is part of the drain it guards
 		v.logDrop(vc, committed)
 		v.mu.Lock()
 		v.stats.Reintegrations++
@@ -225,7 +223,6 @@ func (v *Venus) reintegrateChunk(vc *vclient, age time.Duration) bool {
 	v.mu.Unlock()
 	if len(seqs) > 0 {
 		vc.log.Remove(seqs)
-		//codalint:ignore lockhold drainMu is a work lock serializing whole-drain attempts per volume by design; the journal write is part of the drain it guards
 		v.logDrop(vc, seqs)
 	}
 	return false
@@ -311,11 +308,11 @@ func (v *Venus) ForceReintegrateSubtree(path string) error {
 	}
 	v.mu.Unlock()
 
-	// Serialize with this volume's other drains: without the drain lock a
+	// Serialize with this volume's other drains: without the drain token a
 	// trickle chunk in flight would hold the CML barrier and this call
 	// would see "nothing pending" despite pending subtree records.
-	vc.drainMu.Lock()
-	defer vc.drainMu.Unlock()
+	vc.drain.Get()
+	defer vc.drain.Put(struct{}{})
 
 	records := vc.log.BeginSubtreeReintegration(func(r *cml.Record) bool {
 		return members[r.FID] || members[r.Parent] || members[r.NewParent]
@@ -334,7 +331,6 @@ func (v *Venus) ForceReintegrateSubtree(path string) error {
 		recs[i] = *r
 		seqs[r.Seq] = true
 	}
-	//codalint:ignore lockhold drainMu is a work lock serializing whole-drain attempts per volume by design; RPCs are issued holding only drainMu, never Venus.mu
 	rep, err := v.reintegrateCall(vc, recs, nil, nil, 0, sp.Context())
 	if err != nil {
 		vc.log.AbortReintegration()
@@ -364,7 +360,6 @@ func (v *Venus) ForceReintegrateSubtree(path string) error {
 		v.met.residency.Observe(int64(now.Sub(r.Time).Seconds()))
 	}
 	vc.log.CommitSubtree(seqs)
-	//codalint:ignore lockhold drainMu is a work lock serializing whole-drain attempts per volume by design; the journal write is part of the drain it guards
 	v.logDrop(vc, seqs)
 	v.mu.Lock()
 	v.stats.Reintegrations++

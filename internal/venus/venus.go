@@ -204,12 +204,14 @@ type vclient struct {
 	// past a member when a call to it times out (see avsg.go).
 	pref int
 
-	// drainMu serializes reintegration attempts against this volume's CML
-	// (its trickle loop vs. the Force* paths), so concurrent drains of
-	// DIFFERENT volumes proceed while one volume's drain stays single-file.
-	// Lock order: drainMu before Venus.mu; RPCs are issued holding only
-	// drainMu, never Venus.mu.
-	drainMu sync.Mutex
+	// drain is a one-token queue that serializes reintegration attempts
+	// against this volume's CML (its trickle loop vs. the Force* paths),
+	// so concurrent drains of DIFFERENT volumes proceed while one
+	// volume's drain stays single-file. Get takes the token, Put returns
+	// it. A drain holds it across its RPCs; a contender parks on the
+	// clock, so the holder's RPC timers keep running under a Sim.
+	// Venus.mu is never held while taking the token or across an RPC.
+	drain *simtime.Queue[struct{}]
 }
 
 // Conflict records a CML record the server rejected at reintegration.
@@ -432,7 +434,8 @@ func (v *Venus) Mount(volume string) error {
 		return fmt.Errorf("venus: mount %s: connect: %w", volume, connectErr)
 	}
 	vc := &vclient{info: rep.Info, root: rep.Root.FID, log: cml.NewLog(),
-		pref: v.defaultPref(uint64(rep.Info.ID))}
+		pref: v.defaultPref(uint64(rep.Info.ID)), drain: simtime.NewQueue[struct{}](v.clock)}
+	vc.drain.Put(struct{}{})
 	// Fetch the root directory's entries eagerly: every resolution
 	// starts there, and it is small.
 	rootRep, err := callVol[wire.FetchRep](v, vc, wire.Fetch{FID: rep.Root.FID, WantCallback: true}, rpc2.CallOpts{})
